@@ -1,73 +1,47 @@
-// Package evstore is the durability layer under the evidence cache: a
-// crash-safe, append-only store that lets generated SEED evidence (and its
-// stage-graph provenance) survive process death. The paper's practicality
-// claim is that evidence is generated once and reused across queries and
-// sessions; without a durable store every seedd restart throws the evserve
-// cache away and re-pays the full LLM round-trip cost for every question.
+// Package evstore is the durability layer under the evidence cache: the
+// record codec that puts generated SEED evidence (and its stage-graph
+// provenance) on the shared durable log, internal/wal. The paper's
+// practicality claim is that evidence is generated once and reused across
+// queries and sessions; without a durable store every seedd restart throws
+// the evserve cache away and re-pays the full LLM round-trip cost for every
+// question.
 //
-// On disk a store is one directory holding two files (plus a transient
-// third while a compaction is in flight):
-//
-//	wal.evs       append-only JSON-lines write-ahead log, one CRC-framed
-//	              record per accepted evidence entry
-//	snapshot.evs  the compacted live set (latest entry per key), same
-//	              framing, rewritten atomically by compaction
-//	wal.tail.evs  the previous WAL generation, rotated out at the start
-//	              of a compaction; removed once the snapshot lands
-//
-// Every line is "crc8hex payload\n" where the CRC is the Castagnoli CRC-32
-// of the payload bytes. Open replays snapshot, then tail, then WAL, newest
-// record per key winning; replay stops at the first torn or corrupt
-// record, recovering the longest valid prefix, and Open truncates the WAL
-// back to that prefix so subsequent appends never interleave with garbage.
-//
-// Compaction runs off the append path: crossing Options.CompactEvery
-// rotates the WAL to wal.tail.evs under the lock (cheap) and writes the
-// staged live set to a temp snapshot in the background, fsyncs, renames it
-// over the old snapshot, and only then removes the tail. Every crash
-// point is recoverable — the worst case is a surviving tail whose records
-// the snapshot already holds, which the next Open replays idempotently
-// and absorbs into a fresh snapshot.
-//
-// A Store is safe for concurrent use by one process. Two processes must
-// not open the same directory at once: appends from separate file handles
-// would interleave mid-frame.
+// A Store is a wal.Log keyed by evserve.Key: the on-disk layout (wal.evs,
+// snapshot.evs, wal.tail.evs, lock, manifest), crash recovery, background
+// compaction and WAL-shipping replication are all the log's. This package
+// adds the JSON record shape, the corpus manifest stamp, and the
+// replication dedup rule.
 package evstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"sync"
+	"net/http"
+	"reflect"
 	"time"
 
 	"repro/internal/evserve"
 	"repro/internal/pipeline"
+	"repro/internal/wal"
 )
 
-// File names inside a store directory. walTailFile exists only while a
-// compaction is in flight (or after a crash interrupted one): it is the
-// previous WAL generation, rotated out so appends continue into a fresh
-// WAL while the snapshot is written in the background. lockFile carries
-// the advisory flock that enforces one process per directory, and
-// manifestFile stamps the corpus identity the records were built from.
-const (
-	walFile      = "wal.evs"
-	walTailFile  = "wal.tail.evs"
-	snapshotFile = "snapshot.evs"
-	lockFileName = "lock"
-	manifestFile = "manifest"
+// The store is the shared log instantiated for evidence; the names below
+// keep the package's surface for its callers.
+type (
+	// Store is a durable evidence store. It implements evserve.Store.
+	Store = wal.Log[evserve.Key, evserve.Entry]
+	// Options configures a Store.
+	Options = wal.Options
+	// Stats is the store's counter snapshot.
+	Stats = wal.Stats
+	// Tailer replicates one peer's evidence store into a local one.
+	Tailer = wal.Tailer[evserve.Key, evserve.Entry]
+	// TailerStats is the /metrics view of one replication stream.
+	TailerStats = wal.TailerStats
 )
 
 // ErrClosed is returned by Append and Flush after Close.
-var ErrClosed = errors.New("evstore: store closed")
+var ErrClosed = wal.ErrClosed
 
 // Manifest renders the canonical corpus-identity stamp every tool in this
 // repository writes (seedd, seedgen, the experiment drivers, storebench),
@@ -76,34 +50,6 @@ var ErrClosed = errors.New("evstore: store closed")
 // why the string is built in exactly one place.
 func Manifest(corpus string, seed uint64) string {
 	return fmt.Sprintf("corpus=%s seed=%d", corpus, seed)
-}
-
-// castagnoli is the CRC-32C table used to frame every record.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Options configures a Store.
-type Options struct {
-	// CompactEvery triggers a snapshot compaction once this many records
-	// have accumulated in the WAL; 0 defaults to 1024, negative disables
-	// automatic compaction (Compact can still be called explicitly).
-	CompactEvery int
-	// FlushEvery batches buffered WAL appends: the writer is flushed to
-	// the OS every FlushEvery records. 0 or 1 flushes per append — the
-	// crash-safe default — so a SIGKILL loses at most the record being
-	// written. Values > 1 trade tail-loss risk for fewer write syscalls;
-	// Flush (which evserve.Service.Close calls) drains the batch.
-	FlushEvery int
-	// Sync additionally fsyncs the WAL after every flush and the store
-	// directory after every rename/create/remove, extending durability
-	// from process death to power loss. Off by default.
-	Sync bool
-	// Manifest identifies the corpus the evidence was generated from
-	// (e.g. "corpus=bird seed=7"). A fresh store is stamped with it; a
-	// re-opened store whose stamp differs refuses to open, because cache
-	// keys hash only question *text* — replaying a store built from a
-	// different corpus generation would serve stale evidence as hits.
-	// Empty skips the check.
-	Manifest string
 }
 
 // record is the on-disk JSON payload: the full cache key plus the entry.
@@ -118,342 +64,22 @@ type record struct {
 	Trace    *pipeline.Trace `json:"trace,omitempty"`
 }
 
-// Store is a durable evidence store. Construct with Open; the zero value
-// is not usable. It implements evserve.Store.
-type Store struct {
-	dir  string
-	opts Options
-
-	mu         sync.Mutex
-	lock       *os.File // holds the directory flock for the store's lifetime
-	wal        *os.File
-	w          *bufio.Writer
-	pending    int // appends buffered since the last flush
-	walRecords int // records in the current WAL generation
-	records    map[evserve.Key]evserve.Entry
-	closed     bool
-	// walValidLen is the byte length of the longest valid prefix of the
-	// last file replayFile scanned; Open uses it to truncate a corrupt
-	// WAL tail back to a record boundary.
-	walValidLen int64
-
-	// walGen identifies the current WAL byte stream for replication: a
-	// follower's byte offset is only meaningful against the generation it
-	// was read from. Open stamps a fresh generation and every rotation
-	// (compaction) bumps it, so a follower holding offsets into a file
-	// that no longer exists detects the fact and resyncs from a full dump
-	// instead of misreading reused offsets.
-	walGen int64
-	// walWritten counts bytes accepted into the current WAL (including
-	// bytes still in the bufio buffer); walBytes counts bytes flushed to
-	// the OS — the replication-visible prefix. ReplicationRead never
-	// serves past walBytes, because buffered bytes can still be lost to a
-	// crash and a follower must not get ahead of the leader's own
-	// durability.
-	walWritten int64
-	walBytes   int64
-
-	// compacting marks a background compaction in flight; compactDone is
-	// that compaction's completion latch, non-nil exactly while one runs.
-	// A channel per generation (rather than one reused WaitGroup) lets
-	// Flush, Compact and Close wait outside s.mu without racing a
-	// concurrent Append's Add against a returning Wait.
-	compacting  bool
-	compactDone chan struct{}
-
-	appends         int64
-	compactions     int64
-	compactErrors   int64
-	tailDropped     int
-	snapshotRecords int
-	snapshotAt      time.Time
-	replay          time.Duration
-}
-
-// Open creates (or re-opens) the store rooted at dir, replaying
-// snapshot + WAL to rebuild the live set. A torn or corrupt WAL tail is
-// truncated away so the file ends on a record boundary before any new
-// append.
-func Open(dir string, opts Options) (*Store, error) {
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 1024
-	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("evstore: %w", err)
-	}
-	s := &Store{
-		dir:        dir,
-		opts:       opts,
-		records:    make(map[evserve.Key]evserve.Entry),
-		snapshotAt: time.Now(),
-	}
-	// One process per directory, enforced: two writers would interleave
-	// WAL frames mid-record and the damage would surface only as silently
-	// dropped records on the next replay. flock is advisory but released
-	// by the kernel on any process death, so crash recovery never meets a
-	// stale lock.
-	lf, err := os.OpenFile(filepath.Join(dir, lockFileName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("evstore: %w", err)
-	}
-	if err := lockFile(lf); err != nil {
-		lf.Close()
-		return nil, fmt.Errorf("evstore: %s is in use by another process (flock: %w)", dir, err)
-	}
-	s.lock = lf
-	ok := false
-	defer func() {
-		if !ok {
-			lf.Close() // releases the flock
+// Codec frames evidence records for the log, ordering keys by DB, then
+// variant, then hash.
+var Codec = wal.Codec[evserve.Key, evserve.Entry]{
+	Name: "evstore",
+	Encode: func(k evserve.Key, e evserve.Entry) ([]byte, error) {
+		return json.Marshal(record{DB: k.DB, Variant: k.Variant, QHash: k.QHash, Evidence: e.Evidence, Trace: e.Trace})
+	},
+	Decode: func(payload []byte) (evserve.Key, evserve.Entry, bool) {
+		var rec record
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return evserve.Key{}, evserve.Entry{}, false
 		}
-	}()
-	if opts.Manifest != "" {
-		mPath := filepath.Join(dir, manifestFile)
-		existing, merr := os.ReadFile(mPath)
-		switch {
-		case errors.Is(merr, os.ErrNotExist):
-			if err := os.WriteFile(mPath, []byte(opts.Manifest), 0o644); err != nil {
-				return nil, fmt.Errorf("evstore: %w", err)
-			}
-		case merr != nil:
-			return nil, fmt.Errorf("evstore: %w", merr)
-		case string(existing) != opts.Manifest:
-			return nil, fmt.Errorf(
-				"evstore: manifest mismatch: %s holds evidence for %q but this process expects %q — serving it would return stale evidence as cache hits; delete the directory to rebuild",
-				dir, existing, opts.Manifest)
-		}
-	}
-	start := time.Now()
-	snapDropped, _, err := s.replayFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		return nil, err
-	}
-	s.snapshotRecords = len(s.records)
-	if fi, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
-		s.snapshotAt = fi.ModTime()
-	}
-	// A tail WAL exists only when a crash interrupted a compaction: its
-	// records are newer than the snapshot and older than the current WAL,
-	// so it replays in between.
-	tailPath := filepath.Join(dir, walTailFile)
-	tailDropped, _, err := s.replayFile(tailPath)
-	if err != nil {
-		return nil, err
-	}
-	_, tailErr := os.Stat(tailPath)
-	tailExists := tailErr == nil
-	walPath := filepath.Join(dir, walFile)
-	walDropped, walValid, err := s.replayFile(walPath)
-	if err != nil {
-		return nil, err
-	}
-	s.walRecords = walValid
-	s.tailDropped = snapDropped + tailDropped + walDropped
-	s.replay = time.Since(start)
-
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("evstore: %w", err)
-	}
-	if walDropped > 0 {
-		// Cut the corrupt tail so new appends start on a record boundary.
-		if err := f.Truncate(s.walValidLen); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("evstore: truncating corrupt WAL tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("evstore: %w", err)
-	}
-	s.wal = f
-	s.w = bufio.NewWriter(f)
-	// The WAL now ends exactly at walValidLen (the corrupt tail, if any,
-	// was truncated above). Replication offsets start there, under a fresh
-	// generation: offsets handed out by a previous process are invalid —
-	// the torn tail may have moved the boundary — so followers of the old
-	// generation full-resync rather than resume.
-	s.walGen = time.Now().UnixNano()
-	s.walWritten = s.walValidLen
-	s.walBytes = s.walValidLen
-	if opts.Sync {
-		// Cover the WAL's own directory entry when Open just created it.
-		if err := syncDir(dir); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("evstore: %w", err)
-		}
-	}
-	if tailExists {
-		// Finish what the crashed compaction started: the replayed state
-		// already includes the tail's records, so write them straight
-		// into a fresh snapshot (writeSnapshot also removes the tail).
-		// The WAL keeps its records — replaying them over the new
-		// snapshot on the next Open is idempotent.
-		if err := s.writeSnapshot(s.records); err != nil {
-			s.wal.Close()
-			return nil, fmt.Errorf("evstore: absorbing interrupted compaction: %w", err)
-		}
-		s.snapshotRecords = len(s.records)
-		s.snapshotAt = time.Now()
-		s.compactions++
-	}
-	ok = true
-	return s, nil
-}
-
-// replayFile folds one framed file into the live set, stopping at the
-// first invalid record. It returns how many trailing records (torn,
-// CRC-mismatched, or undecodable — plus everything after them) were
-// dropped and how many valid records were applied. A missing file is an
-// empty file.
-func (s *Store) replayFile(path string) (dropped, valid int, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("evstore: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Torn final record: no newline made it to disk.
-			dropped++
-			break
-		}
-		line := data[off : off+nl]
-		rec, ok := decodeRecord(line)
-		if !ok {
-			// Corrupt record: everything from here on is untrusted,
-			// because frames after a bad frame may themselves be
-			// mid-record garbage. Recover the longest valid prefix.
-			dropped += countLines(data[off:])
-			break
-		}
-		k := evserve.Key{DB: rec.DB, Variant: rec.Variant, QHash: rec.QHash}
-		s.records[k] = evserve.Entry{Evidence: rec.Evidence, Trace: rec.Trace}
-		valid++
-		off += nl + 1
-	}
-	s.walValidLen = int64(off)
-	return dropped, valid, nil
-}
-
-// syncDir fsyncs a directory, making renames, creations and removals
-// inside it durable — fsyncing file contents alone does not cover the
-// directory entries. Only the Sync option pays this cost.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// countLines counts newline-terminated chunks in data, counting a torn
-// trailer as one more.
-func countLines(data []byte) int {
-	n := bytes.Count(data, []byte{'\n'})
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		n++
-	}
-	return n
-}
-
-// encodeRecord frames one record: 8 hex CRC digits, a space, the JSON
-// payload, a newline.
-func encodeRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.Checksum(payload, castagnoli))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// decodeRecord parses one framed line (without its newline), verifying
-// the CRC before trusting the payload. It runs once per record on the
-// startup replay path, so the frame parse avoids fmt's scan machinery.
-func decodeRecord(line []byte) (record, bool) {
-	var rec record
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return rec, false
-	}
-	payload := line[9:]
-	if crc32.Checksum(payload, castagnoli) != uint32(want) {
-		return rec, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
-}
-
-// Append persists one cache entry write-through: it reaches the OS
-// according to Options.FlushEvery and triggers compaction when the WAL
-// has grown past Options.CompactEvery records. Re-appending a key
-// overwrites its live value, exactly like a cache Put.
-func (s *Store) Append(k evserve.Key, e evserve.Entry) error {
-	line, err := encodeRecord(record{
-		DB: k.DB, Variant: k.Variant, QHash: k.QHash,
-		Evidence: e.Evidence, Trace: e.Trace,
-	})
-	if err != nil {
-		return fmt.Errorf("evstore: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if _, err := s.w.Write(line); err != nil {
-		return fmt.Errorf("evstore: %w", err)
-	}
-	s.walWritten += int64(len(line))
-	s.records[k] = e
-	s.appends++
-	s.walRecords++
-	s.pending++
-	if s.pending >= s.opts.FlushEvery {
-		if err := s.flushLocked(); err != nil {
-			return err
-		}
-	}
-	if s.opts.CompactEvery > 0 && s.walRecords >= s.opts.CompactEvery && !s.compacting {
-		// Rotate under the lock (cheap: a rename and a fresh file), write
-		// the snapshot in the background — the request that crossed the
-		// threshold, and every concurrent Append, never waits for a full
-		// live-set rewrite. A repeat trigger while one compaction runs is
-		// skipped; the WAL simply grows until the next crossing.
-		staged, done, err := s.beginCompactionLocked()
-		if err != nil {
-			return err
-		}
-		go s.finishCompaction(staged, done)
-	}
-	return nil
-}
-
-// sortKeys orders keys deterministically (DB, then variant, then hash) —
-// the one ordering both replay and snapshots use.
-func sortKeys(keys []evserve.Key) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+		return evserve.Key{DB: rec.DB, Variant: rec.Variant, QHash: rec.QHash},
+			evserve.Entry{Evidence: rec.Evidence, Trace: rec.Trace}, true
+	},
+	Less: func(a, b evserve.Key) bool {
 		if a.DB != b.DB {
 			return a.DB < b.DB
 		}
@@ -461,367 +87,47 @@ func sortKeys(keys []evserve.Key) {
 			return a.Variant < b.Variant
 		}
 		return a.QHash < b.QHash
+	},
+}
+
+// Open creates (or re-opens) the evidence store rooted at dir.
+func Open(dir string, opts Options) (*Store, error) {
+	return wal.Open(dir, Codec, opts)
+}
+
+// TailerOptions configures a Tailer.
+type TailerOptions struct {
+	// Interval is the poll period; <= 0 defaults to 200ms.
+	Interval time.Duration
+	// Client is the HTTP client for polls; nil uses a 10s-timeout default.
+	Client *http.Client
+	// MaxBytes bounds one poll's chunk; 0 uses the server default.
+	MaxBytes int
+	// Apply, when non-nil, observes every record actually applied to the
+	// store — seedd uses it to inject replicated evidence into the serving
+	// cache so a promoted follower answers from memory.
+	Apply func(k evserve.Key, e evserve.Entry)
+}
+
+// NewTailer builds a tailer that replicates the peer named by source (a
+// replica base URL, or a full replication URL with its own query) into
+// store, skipping records the store already holds identically.
+func NewTailer(source string, store *Store, opts TailerOptions) *Tailer {
+	return wal.NewTailer(source, Codec, wal.TailerOptions[evserve.Key, evserve.Entry]{
+		Interval: opts.Interval,
+		Client:   opts.Client,
+		MaxBytes: opts.MaxBytes,
+		Apply: func(k evserve.Key, e evserve.Entry) (bool, error) {
+			if cur, ok := store.Get(k); ok && cur.Evidence == e.Evidence && reflect.DeepEqual(cur.Trace, e.Trace) {
+				return false, nil
+			}
+			if err := store.Append(k, e); err != nil {
+				return false, err
+			}
+			if opts.Apply != nil {
+				opts.Apply(k, e)
+			}
+			return true, nil
+		},
 	})
-}
-
-// Load streams every live entry (latest per key) to fn, in a
-// deterministic key order. evserve.New uses it to rebuild the evidence
-// cache on startup.
-func (s *Store) Load(fn func(evserve.Key, evserve.Entry)) error {
-	s.mu.Lock()
-	keys := make([]evserve.Key, 0, len(s.records))
-	for k := range s.records {
-		keys = append(keys, k)
-	}
-	entries := make(map[evserve.Key]evserve.Entry, len(s.records))
-	for k, e := range s.records {
-		entries[k] = e
-	}
-	s.mu.Unlock()
-	sortKeys(keys)
-	for _, k := range keys {
-		fn(k, entries[k])
-	}
-	return nil
-}
-
-// Flush drains buffered appends to the OS (and to stable storage when
-// Options.Sync is set), then waits for any in-flight background
-// compaction — so Flush returning means the store's on-disk state is a
-// complete, quiescent image of every accepted write. It is what makes
-// "accepted write" mean "survives SIGKILL" for batched FlushEvery
-// configurations.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	err := s.flushLocked()
-	done := s.compactDone
-	s.mu.Unlock()
-	// Outside the lock: finishCompaction re-acquires s.mu to publish its
-	// counters, so waiting under it would deadlock.
-	if done != nil {
-		<-done
-	}
-	return err
-}
-
-func (s *Store) flushLocked() error {
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("evstore: %w", err)
-	}
-	s.pending = 0
-	s.walBytes = s.walWritten
-	if s.opts.Sync {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("evstore: %w", err)
-		}
-	}
-	return nil
-}
-
-// Compact rewrites the live set into a fresh snapshot and empties the
-// WAL, synchronously. Safe to call at any time; Append triggers the same
-// work in the background per Options.CompactEvery. When a background
-// compaction is already running, Compact waits for it instead of
-// starting another.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.compacting {
-		done := s.compactDone
-		s.mu.Unlock()
-		if done != nil {
-			<-done
-		}
-		return nil
-	}
-	staged, done, err := s.beginCompactionLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.finishCompaction(staged, done)
-}
-
-// beginCompactionLocked is the cheap, mutex-held half of a compaction:
-// flush and rotate the current WAL to wal.tail.evs, open a fresh WAL for
-// subsequent appends, and stage a point-in-time copy of the live set.
-// The expensive snapshot write happens in finishCompaction, off the
-// append path. Callers must hold s.mu and have checked !s.compacting.
-// The returned channel is this compaction generation's completion latch.
-func (s *Store) beginCompactionLocked() (map[evserve.Key]evserve.Entry, chan struct{}, error) {
-	if err := s.flushLocked(); err != nil {
-		return nil, nil, err
-	}
-	walPath := filepath.Join(s.dir, walFile)
-	tailPath := filepath.Join(s.dir, walTailFile)
-	if _, err := os.Stat(tailPath); err == nil {
-		// A leftover tail from a failed compaction: renaming over it
-		// would drop its records from disk, so fold the current WAL into
-		// it instead (append, sync, then truncate the WAL — a crash in
-		// between merely duplicates records, and replay is idempotent).
-		data, err := os.ReadFile(walPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("evstore: %w", err)
-		}
-		tf, err := os.OpenFile(tailPath, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("evstore: %w", err)
-		}
-		_, werr := tf.Write(data)
-		if serr := tf.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := tf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, nil, fmt.Errorf("evstore: folding WAL into tail: %w", werr)
-		}
-		if err := s.wal.Truncate(0); err != nil {
-			return nil, nil, fmt.Errorf("evstore: %w", err)
-		}
-		if _, err := s.wal.Seek(0, 0); err != nil {
-			return nil, nil, fmt.Errorf("evstore: %w", err)
-		}
-		s.w.Reset(s.wal)
-	} else {
-		// Rename before closing: the open handle follows the renamed file,
-		// so a rename failure leaves the store exactly as it was — still
-		// holding a writable WAL.
-		if err := os.Rename(walPath, tailPath); err != nil {
-			return nil, nil, fmt.Errorf("evstore: rotating WAL: %w", err)
-		}
-		if err := s.wal.Close(); err != nil {
-			return nil, nil, fmt.Errorf("evstore: %w", err)
-		}
-		f, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-		if err != nil {
-			// Roll the rotation back so the store keeps a writable WAL
-			// instead of silently dropping durability until restart.
-			if rerr := os.Rename(tailPath, walPath); rerr == nil {
-				if rf, oerr := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644); oerr == nil {
-					if _, serr := rf.Seek(0, 2); serr == nil {
-						s.wal = rf
-						s.w.Reset(rf)
-						return nil, nil, fmt.Errorf("evstore: reopening WAL after rotation (rolled back): %w", err)
-					}
-					rf.Close()
-				}
-			}
-			return nil, nil, fmt.Errorf("evstore: WAL unavailable after failed rotation — store is no longer durable: %w", err)
-		}
-		s.wal = f
-		s.w.Reset(f)
-		if s.opts.Sync {
-			// The rename and the fresh WAL's directory entry must be as
-			// durable as the record fsyncs that follow.
-			if err := syncDir(s.dir); err != nil {
-				return nil, nil, fmt.Errorf("evstore: %w", err)
-			}
-		}
-	}
-	s.pending = 0
-	s.walRecords = 0
-	// The WAL byte stream just changed identity (emptied in place or
-	// replaced by a fresh file): retire the replication generation so
-	// follower offsets into the old stream full-resync instead of reading
-	// new bytes at stale positions.
-	s.walGen = time.Now().UnixNano()
-	s.walWritten = 0
-	s.walBytes = 0
-	staged := make(map[evserve.Key]evserve.Entry, len(s.records))
-	for k, e := range s.records {
-		staged[k] = e
-	}
-	s.compacting = true
-	done := make(chan struct{})
-	s.compactDone = done
-	return staged, done, nil
-}
-
-// finishCompaction is the slow half: write the staged live set to
-// snapshot.evs.tmp, fsync, rename it over the snapshot, then remove the
-// rotated tail WAL (every one of its records is in the new snapshot).
-// Write-rename-remove ordering keeps every crash point recoverable: the
-// worst case is a surviving tail file whose records the snapshot already
-// holds, which the next Open replays idempotently and absorbs. On error
-// the tail is likewise left in place — no data is lost, only the
-// compaction is abandoned (counted in Stats.CompactErrors).
-func (s *Store) finishCompaction(staged map[evserve.Key]evserve.Entry, done chan struct{}) error {
-	defer close(done)
-	err := s.writeSnapshot(staged)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compacting = false
-	if s.compactDone == done {
-		s.compactDone = nil
-	}
-	if err != nil {
-		s.compactErrors++
-		return err
-	}
-	s.snapshotRecords = len(staged)
-	s.snapshotAt = time.Now()
-	s.compactions++
-	return nil
-}
-
-// writeSnapshot persists the staged live set and removes the tail WAL.
-// It runs without s.mu — it touches only the staged copy and files no
-// other path writes.
-func (s *Store) writeSnapshot(staged map[evserve.Key]evserve.Entry) error {
-	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("evstore: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	writeErr := func() error {
-		keys := make([]evserve.Key, 0, len(staged))
-		for k := range staged {
-			keys = append(keys, k)
-		}
-		sortKeys(keys)
-		for _, k := range keys {
-			e := staged[k]
-			line, err := encodeRecord(record{
-				DB: k.DB, Variant: k.Variant, QHash: k.QHash,
-				Evidence: e.Evidence, Trace: e.Trace,
-			})
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); writeErr == nil {
-		writeErr = cerr
-	}
-	if writeErr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("evstore: writing snapshot: %w", writeErr)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
-		return fmt.Errorf("evstore: %w", err)
-	}
-	if err := os.Remove(filepath.Join(s.dir, walTailFile)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("evstore: %w", err)
-	}
-	if s.opts.Sync {
-		// Make the snapshot rename and tail removal themselves durable.
-		if err := syncDir(s.dir); err != nil {
-			return fmt.Errorf("evstore: %w", err)
-		}
-	}
-	return nil
-}
-
-// Close flushes, waits for any in-flight compaction, and closes the WAL.
-// Idempotent; Append and Flush fail with ErrClosed afterwards.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	err := s.flushLocked()
-	s.closed = true
-	done := s.compactDone
-	s.mu.Unlock()
-	// Let the background snapshot finish before closing the WAL handle:
-	// abandoning it mid-write would leave a tail file for the next Open
-	// to absorb (safe, but needlessly). closed=true is already published,
-	// so no new compaction can begin behind this wait.
-	if done != nil {
-		<-done
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
-	}
-	// Closing the lock file releases the flock, letting the next process
-	// (or a test's reopen) take the directory.
-	if cerr := s.lock.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Get returns the live entry for a key, if any. Replication uses it to
-// detect records a follower already holds (full-mesh shipping would
-// otherwise echo every record back and forth forever).
-func (s *Store) Get(k evserve.Key) (evserve.Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.records[k]
-	return e, ok
-}
-
-// Len returns the number of live entries (latest per key).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.records)
-}
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Stats is a point-in-time snapshot of the store's counters, shaped for
-// the /metrics endpoint.
-type Stats struct {
-	// Records is the live entry count (latest per key).
-	Records int `json:"records"`
-	// SnapshotRecords is the live entry count as of the last compaction
-	// (or the snapshot replayed at Open).
-	SnapshotRecords int `json:"snapshot_records"`
-	// WALRecords counts records in the current WAL generation.
-	WALRecords int `json:"wal_records"`
-	// TailDropped counts torn or corrupt records dropped during the last
-	// Open's replay.
-	TailDropped int `json:"tail_dropped"`
-	// Appends counts Append calls accepted since Open.
-	Appends int64 `json:"appends"`
-	// Compactions counts completed snapshot rewrites since Open.
-	Compactions int64 `json:"compactions"`
-	// CompactErrors counts abandoned compactions (snapshot write failed;
-	// no data lost — the rotated WAL tail stays on disk for the next
-	// attempt or Open to absorb).
-	CompactErrors int64 `json:"compact_errors,omitempty"`
-	// ReplayMicros is how long the Open-time snapshot+WAL replay took.
-	ReplayMicros int64 `json:"replay_us"`
-	// SnapshotAgeSeconds is the time since the last compaction (or since
-	// Open when none has run).
-	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
-}
-
-// Stats snapshots the store counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Records:            len(s.records),
-		SnapshotRecords:    s.snapshotRecords,
-		WALRecords:         s.walRecords,
-		TailDropped:        s.tailDropped,
-		Appends:            s.appends,
-		Compactions:        s.compactions,
-		CompactErrors:      s.compactErrors,
-		ReplayMicros:       s.replay.Microseconds(),
-		SnapshotAgeSeconds: time.Since(s.snapshotAt).Seconds(),
-	}
 }

@@ -13,6 +13,14 @@ import (
 	"repro/internal/pipeline"
 )
 
+// The on-disk layout the store keeps: tests read and damage these files
+// directly, so a layout change shows up here.
+const (
+	walFile      = "wal.evs"
+	walTailFile  = "wal.tail.evs"
+	snapshotFile = "snapshot.evs"
+)
+
 // testEntry builds a deterministic entry with a trace, so persistence
 // tests cover the provenance path too.
 func testEntry(text string, wall int64) evserve.Entry {
@@ -246,11 +254,11 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	k2 := evserve.KeyFor("db", "v", "post-rotation")
-	line, err := encodeRecord(record{DB: k2.DB, Variant: k2.Variant, QHash: k2.QHash, Evidence: "fresh"})
+	line, err := Codec.Frame(k2, evserve.Entry{Evidence: "fresh"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	line2, err := encodeRecord(record{DB: k1.DB, Variant: k1.Variant, QHash: k1.QHash, Evidence: "new-value"})
+	line2, err := Codec.Frame(k1, evserve.Entry{Evidence: "new-value"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@
 // failure, so a pattern whose SQL goes stale (schema drift, data change)
 // demotes itself out of serving within a failure or two.
 //
-// The memory is optionally durable (a WAL-backed Store reusing the
-// evstore framing idioms) and replicates to fleet peers over an
-// incremental sync protocol (see replicate.go), exactly like evidence.
+// The memory is optionally durable (a Store on internal/wal, the log
+// that also carries the evidence store) and replicates to fleet peers
+// over an incremental sync protocol (see replicate.go), exactly like
+// evidence.
 package qmemory
 
 import (
@@ -249,7 +250,7 @@ func New(opts Options) (*Memory, error) {
 	}
 	if opts.Store != nil {
 		var restoreErr error
-		opts.Store.Load(func(rec Record) {
+		err := opts.Store.Load(func(_ string, rec Record) {
 			if restoreErr != nil {
 				return
 			}
@@ -259,8 +260,11 @@ func New(opts Options) (*Memory, error) {
 			}
 			m.stats.Restored++
 		})
-		if restoreErr != nil {
-			return nil, fmt.Errorf("qmemory: restoring store: %w", restoreErr)
+		if err == nil {
+			err = restoreErr
+		}
+		if err != nil {
+			return nil, fmt.Errorf("qmemory: restoring store: %w", err)
 		}
 	}
 	return m, nil
@@ -528,7 +532,7 @@ func (m *Memory) touchLocked(p *pattern) {
 	m.seq++
 	p.seq = m.seq
 	if m.opts.Store != nil {
-		if err := m.opts.Store.Append(cloneRecord(p.rec)); err != nil {
+		if err := m.opts.Store.Append(p.rec.ID, cloneRecord(p.rec)); err != nil {
 			m.stats.StoreErrors++
 		} else {
 			m.stats.StoreAppends++
@@ -605,7 +609,7 @@ func (m *Memory) applyHeld(rec Record, persist bool) error {
 	m.seq++
 	p.seq = m.seq
 	if persist && m.opts.Store != nil {
-		if err := m.opts.Store.Append(cloneRecord(p.rec)); err != nil {
+		if err := m.opts.Store.Append(p.rec.ID, cloneRecord(p.rec)); err != nil {
 			m.stats.StoreErrors++
 		} else {
 			m.stats.StoreAppends++

@@ -1,6 +1,7 @@
 package qmemory
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -185,12 +186,12 @@ func TestStoreTruncatesCorruptTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(Record{ID: "a", DB: "d", SQL: "SELECT 1", Confidence: 0.9, Successes: 1, Phrasings: []string{"q"}}); err != nil {
+	if err := st.Append("a", Record{ID: "a", DB: "d", SQL: "SELECT 1", Confidence: 0.9, Successes: 1, Phrasings: []string{"q"}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 	// Simulate a torn write: garbage after the valid frame.
-	path := filepath.Join(dir, walName)
+	path := filepath.Join(dir, "wal.evs")
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -206,12 +207,12 @@ func TestStoreTruncatesCorruptTail(t *testing.T) {
 	if st2.Len() != 1 {
 		t.Fatalf("want 1 live record after truncation, got %d", st2.Len())
 	}
-	if !st2.Stats().Truncated {
-		t.Fatal("stats should record the truncation")
+	if got := st2.Stats().TailDropped; got != 1 {
+		t.Fatalf("stats should record the one truncated frame, got %d", got)
 	}
 	// The store must be appendable after truncation (frame boundary
 	// restored).
-	if err := st2.Append(Record{ID: "b", DB: "d", SQL: "SELECT 2", Confidence: 0.9, Successes: 1}); err != nil {
+	if err := st2.Append("b", Record{ID: "b", DB: "d", SQL: "SELECT 2", Confidence: 0.9, Successes: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,11 +227,15 @@ func TestStoreCompaction(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		rec.Successes++
 		rec.Confidence = float64(i) / 20
-		if err := st.Append(rec); err != nil {
+		if err := st.Append(rec.ID, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st.Stats().Compacts == 0 {
+	// Compaction runs in the background; Flush waits for it.
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().Compactions == 0 {
 		t.Fatal("compaction should have triggered")
 	}
 	st.Close()
@@ -241,10 +246,34 @@ func TestStoreCompaction(t *testing.T) {
 	}
 	defer st2.Close()
 	var got []Record
-	st2.Load(func(r Record) { got = append(got, r) })
+	if err := st2.Load(func(_ string, r Record) { got = append(got, r) }); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 || got[0].Successes != 20 {
 		t.Fatalf("replay after compaction: %+v", got)
 	}
+}
+
+// TestSecondOpenStoreRefused: one process per memory directory, enforced
+// by the log's flock — a second open would interleave WAL frames.
+func TestSecondOpenStoreRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, err := OpenStore(dir, StoreOptions{}); err == nil {
+		second.Close()
+		t.Fatal("second OpenStore on an open memory directory succeeded")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("OpenStore after Close: %v", err)
+	}
+	st2.Close()
 }
 
 func TestSyncConvergence(t *testing.T) {
@@ -302,6 +331,45 @@ func TestSyncConvergence(t *testing.T) {
 		// What matters is the serve gate above — this assert documents
 		// that injection does not fabricate demotion metrics.
 		_ = b
+	}
+}
+
+// TestSyncLimitChunks: a follower polling with limit=1 receives one
+// pattern per poll, oldest mutation first, with a cursor that only moves
+// forward, until every pattern has arrived.
+func TestSyncLimitChunks(t *testing.T) {
+	a, _ := New(Options{})
+	fp := Fingerprint(testRows())
+	sqls := []string{
+		"SELECT COUNT(*) FROM orders",
+		"SELECT SUM(quantity) FROM items",
+		"SELECT MAX(price) FROM items",
+	}
+	for i, sql := range sqls {
+		a.Admit("shop", fmt.Sprintf("question number %d", i), "", sql, fp)
+	}
+	var got []string
+	var gen, since int64
+	for poll := 0; poll < len(sqls)+1; poll++ {
+		chunk := a.SyncRead(gen, since, 1)
+		if len(chunk.Patterns) > 1 {
+			t.Fatalf("limit=1 chunk carried %d patterns", len(chunk.Patterns))
+		}
+		if chunk.Next < since {
+			t.Fatalf("cursor moved backwards: %d after %d", chunk.Next, since)
+		}
+		for _, p := range chunk.Patterns {
+			got = append(got, p.SQL)
+		}
+		gen, since = chunk.Gen, chunk.Next
+	}
+	if len(got) != len(sqls) {
+		t.Fatalf("limit=1 polls delivered %d of %d patterns: %v", len(got), len(sqls), got)
+	}
+	for i := range sqls {
+		if got[i] != sqls[i] {
+			t.Fatalf("delivery order %v, want oldest-first %v", got, sqls)
+		}
 	}
 }
 

@@ -598,16 +598,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ExecuteMicros:  execDur.Microseconds(),
 		},
 	}
-	if res.Rows != nil {
-		resp.Columns = res.Rows.Columns
-		resp.RowCount = len(res.Rows.Data)
-		n := resp.RowCount
-		if req.MaxRows > 0 && req.MaxRows < n {
-			n = req.MaxRows
-			resp.Truncated = true
-		}
-		resp.Rows = renderRows(res.Rows, n)
-	}
+	setRows(&resp, res.Rows, req.MaxRows)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -703,18 +694,26 @@ func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session
 	// On the memory path lookup, verification and execution are one fused
 	// phase; the whole end-to-end cost lands in MemoryMicros.
 	resp.Timing.MemoryMicros = time.Since(start).Microseconds()
-	if res.Rows != nil {
-		resp.Columns = res.Rows.Columns
-		resp.RowCount = len(res.Rows.Data)
-		n := resp.RowCount
-		if req.MaxRows > 0 && req.MaxRows < n {
-			n = req.MaxRows
-			resp.Truncated = true
-		}
-		resp.Rows = renderRows(res.Rows, n)
-	}
+	setRows(&resp, res.Rows, req.MaxRows)
 	writeJSON(w, http.StatusOK, resp)
 	return true, time.Since(start)
+}
+
+// setRows fills a query response's result fields from engine rows,
+// rendering at most maxRows of them (0 means all) and marking the cut.
+// Both serving paths, memory and generated, answer through it.
+func setRows(resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) {
+	if rows == nil {
+		return
+	}
+	resp.Columns = rows.Columns
+	resp.RowCount = len(rows.Data)
+	n := resp.RowCount
+	if maxRows > 0 && maxRows < n {
+		n = maxRows
+		resp.Truncated = true
+	}
+	resp.Rows = renderRows(rows, n)
 }
 
 // renderRows converts engine rows to JSON-shaped values: NULL becomes

@@ -1,6 +1,6 @@
 //go:build !(darwin || dragonfly || freebsd || linux || netbsd || openbsd)
 
-package evstore
+package wal
 
 import "os"
 
