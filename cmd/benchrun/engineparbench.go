@@ -87,6 +87,9 @@ var engineParQueries = []struct {
 	// Aggregate: morsel-parallel grouping over the client scan, then
 	// parallel per-group projection across the district groups.
 	{"agg", "SELECT district_id, COUNT(*) FROM client GROUP BY district_id ORDER BY district_id"},
+	// Top-K: the index gather over the client scan, keyed by a
+	// non-projected column, through the bounded heap.
+	{"orderlimit", "SELECT client_id FROM client ORDER BY district_id DESC, client_id LIMIT 10"},
 }
 
 var engineParSizes = []struct {
@@ -210,6 +213,7 @@ func writeEngineParBench(path string, seed uint64) error {
 	report.Speedups["filter_vectorized_vs_rowwise_1m"] = ratio("1m", "filter_rowwise", "filter_vec1")
 	report.Speedups["join_parallel_ncore_vs_1core_1m"] = ratio("1m", "join_vec1", "join_vecN")
 	report.Speedups["agg_parallel_ncore_vs_1core_1m"] = ratio("1m", "agg_vec1", "agg_vecN")
+	report.Speedups["orderlimit_vectorized_vs_rowwise_1m"] = ratio("1m", "orderlimit_rowwise", "orderlimit_vec1")
 
 	report.VectorizedSpeedupOK = report.Speedups["filter_vectorized_vs_rowwise_1m"] >= 1.5
 	report.ParallelTarget = parallelTarget(workers)

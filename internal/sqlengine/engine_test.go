@@ -81,6 +81,11 @@ var engineQueries = []string{
 	"SELECT DISTINCT grp FROM f ORDER BY grp",
 	"SELECT id, num, txt FROM f WHERE flag = 1 ORDER BY num DESC, id LIMIT 30",
 	"SELECT * FROM f WHERE flag = 0 ORDER BY id LIMIT 10",
+	// Top-K on a non-projected column, a tie-heavy key with NULLs under
+	// OFFSET, and a full two-value sort.
+	"SELECT id FROM f ORDER BY num DESC, id LIMIT 7",
+	"SELECT id FROM f ORDER BY grp LIMIT 50 OFFSET 10",
+	"SELECT id FROM f ORDER BY flag DESC",
 }
 
 // buildEngineDB bulk-loads a database big enough to cross the *default*

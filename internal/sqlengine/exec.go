@@ -1,8 +1,9 @@
 package sqlengine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -239,11 +240,8 @@ func (ec *execCtx) execSelect(sel *SelectStmt, outer *scope) (*Rows, error) {
 		combined = combineRows(combined, next, cur.Compound)
 	}
 	// Apply the tail (ORDER BY / LIMIT) over the combined output.
-	out := &selOutput{columns: combined.Columns}
-	for _, r := range combined.Data {
-		out.add(r, nil)
-	}
-	if err := ec.finishSelect(sel, out, outer, nil); err != nil {
+	out := &selOutput{columns: combined.Columns, data: combined.Data}
+	if err := ec.finishSelect(sel, out, outer, orderKeysFor(sel, out.columns, nil)); err != nil {
 		return nil, err
 	}
 	return out.rows(), nil
@@ -316,13 +314,16 @@ func combineRows(a, b *Rows, op CompoundOp) *Rows {
 	return out
 }
 
-// selOutput accumulates projected rows together with a per-row evaluation
-// environment so ORDER BY can evaluate arbitrary expressions after
-// projection.
+// selOutput accumulates projected rows together with what ORDER BY needs
+// to key them after projection: a per-row evaluation environment for
+// grouped output or when some term is an expression, otherwise the source
+// row each output row was projected from. A compound select's combined rows
+// carry neither.
 type selOutput struct {
 	columns []string
 	data    [][]Value
-	envs    []*evalEnv // parallel to data; nil entries mean "output only"
+	envs    []*evalEnv // parallel to data when set: the row's environment
+	src     [][]Value  // parallel to data when set: the row's source row
 }
 
 func (o *selOutput) add(vals []Value, env *evalEnv) {
@@ -413,14 +414,14 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 
 	grouped := len(sel.GroupBy) > 0 || anyAggregate(sel)
 	out := &selOutput{columns: projectionNames(sel, src)}
+	keys := orderKeysFor(sel, out.columns, src)
 
-	if grouped {
+	switch {
+	case grouped:
 		if err := ec.projectGrouped(sel, src, filtered, outer, out, pl); err != nil {
 			return nil, err
 		}
-	} else if ixs, ok := ec.planFastProjection(sel, src, out.columns); ok && ec.useBatch(len(filtered)) {
-		ec.projectIndexed(filtered, ixs, out)
-	} else {
+	case orderNeedsEnv(keys):
 		for _, row := range filtered {
 			sc := &scope{cols: src.cols, row: row, parent: outer}
 			env := &evalEnv{ec: ec, sc: sc}
@@ -430,24 +431,52 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 			}
 			out.add(vals, env)
 		}
+	default:
+		// No ORDER BY term evaluates in a row environment, so none is
+		// retained: every output row is keyed from its source row, and
+		// projection reuses one scope like the WHERE loop does.
+		if ixs, ok := ec.planFastProjection(sel, src); ok && ec.useBatch(len(filtered)) {
+			ec.projectIndexed(filtered, ixs, out)
+		} else {
+			sc := &scope{cols: src.cols, parent: outer}
+			env := &evalEnv{ec: ec, sc: sc}
+			for _, row := range filtered {
+				sc.row = row
+				vals, err := ec.projectRow(sel, src, env)
+				if err != nil {
+					return nil, err
+				}
+				out.data = append(out.data, vals)
+			}
+		}
+		out.src = filtered
 	}
 
 	if sel.Distinct {
 		dedupeOutput(out)
 	}
-	if err := ec.finishSelect(sel, out, outer, src); err != nil {
+	if err := ec.finishSelect(sel, out, outer, keys); err != nil {
 		return nil, err
 	}
 	return out.rows(), nil
 }
 
 // finishSelect applies ORDER BY, LIMIT and OFFSET to an accumulated output.
-func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, src *rowSet) error {
-	if len(sel.OrderBy) > 0 {
-		if err := ec.orderOutput(sel, out); err != nil {
+// Every row's sort keys are computed before LIMIT and OFFSET are evaluated,
+// so ORDER BY errors surface first and for every row, LIMIT or not. The
+// rows are then picked as a permutation: a bounded heap when LIMIT cuts the
+// output short, otherwise a sort, both tie-broken by output position so the
+// order is exactly that of a stable sort.
+func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, keys []orderKey) error {
+	var flat []Value
+	if len(keys) > 0 {
+		var err error
+		if flat, err = orderKeyValues(keys, out); err != nil {
 			return err
 		}
 	}
+	n := int64(len(out.data))
+	offset, end := int64(0), n
 	if sel.Limit != nil {
 		env := &evalEnv{ec: ec, sc: &scope{parent: outer}}
 		lv, err := env.eval(sel.Limit)
@@ -455,7 +484,6 @@ func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, s
 			return err
 		}
 		limit := lv.AsInt()
-		var offset int64
 		if sel.Offset != nil {
 			ov, err := env.eval(sel.Offset)
 			if err != nil {
@@ -463,91 +491,172 @@ func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, s
 			}
 			offset = ov.AsInt()
 		}
-		if offset < 0 {
-			offset = 0
-		}
-		n := int64(len(out.data))
-		if offset > n {
-			offset = n
-		}
-		end := n
-		if limit >= 0 && offset+limit < n {
+		offset = min(max(offset, 0), n)
+		if limit >= 0 && limit < n-offset {
 			end = offset + limit
 		}
+	}
+	if len(keys) == 0 {
 		out.data = out.data[offset:end]
-		out.envs = out.envs[offset:end]
+	} else {
+		perm := topK(int(n), int(end), orderCmp(keys, flat))
+		data := make([][]Value, 0, end-offset)
+		for _, p := range perm[offset:] {
+			data = append(data, out.data[p])
+		}
+		out.data = data
 	}
+	// Nothing reads the per-row keying state after the tail.
+	out.envs, out.src = nil, nil
 	return nil
 }
 
-// orderOutput sorts the output rows by the ORDER BY terms. Each term can be
-// an ordinal, an output-column alias/name, or an arbitrary expression
-// (evaluated in the row's saved environment).
-func (ec *execCtx) orderOutput(sel *SelectStmt, out *selOutput) error {
-	type keyed struct {
-		vals []Value
-		env  *evalEnv
-		keys []Value
+// orderKey is one ORDER BY term resolved once per statement, in this
+// precedence: an ordinal, an output column name or alias, then a column
+// reference that resolves to exactly one source column, and otherwise an
+// expression evaluated in each row's saved environment.
+type orderKey struct {
+	out, src int   // output / source column index, -1 when not that class
+	expr     Expr  // set for the expression class
+	err      error // an out-of-range ordinal; reported only if a row exists
+	desc     bool
+}
+
+// orderKeysFor resolves sel's ORDER BY terms against its output columns and
+// source relation (nil for a compound select, whose rows have no source).
+func orderKeysFor(sel *SelectStmt, columns []string, src *rowSet) []orderKey {
+	if len(sel.OrderBy) == 0 {
+		return nil
 	}
-	items := make([]keyed, len(out.data))
+	keys := make([]orderKey, len(sel.OrderBy))
+	for j, ob := range sel.OrderBy {
+		k := orderKey{out: -1, src: -1, desc: ob.Desc}
+		switch e := ob.Expr.(type) {
+		case *Literal:
+			if e.Val.Kind == KindInt {
+				if idx := int(e.Val.I) - 1; idx >= 0 && idx < len(columns) {
+					k.out = idx
+				} else {
+					k.err = fmt.Errorf("sqlengine: ORDER BY ordinal %d out of range", e.Val.I)
+				}
+			}
+		case *ColumnRef:
+			if e.Table == "" {
+				k.out = slices.IndexFunc(columns, func(c string) bool { return strings.EqualFold(c, e.Name) })
+			}
+			if k.out < 0 && src != nil && e.Name != "*" {
+				if idx, n := resolveCols(src.cols, e.Table, e.Name); n == 1 {
+					k.src = idx
+				}
+			}
+		}
+		if k.out < 0 && k.src < 0 && k.err == nil {
+			k.expr = ob.Expr
+		}
+		keys[j] = k
+	}
+	return keys
+}
+
+// orderNeedsEnv reports whether some ORDER BY term must be evaluated in a
+// per-row environment.
+func orderNeedsEnv(keys []orderKey) bool {
+	return slices.ContainsFunc(keys, func(k orderKey) bool { return k.expr != nil })
+}
+
+// orderKeyValues computes every row's sort keys, row by row in output order
+// (so the first error is the one a row-at-a-time evaluation meets), into
+// one flat slice: row i's keys are flat[i*len(keys):(i+1)*len(keys)].
+func orderKeyValues(keys []orderKey, out *selOutput) ([]Value, error) {
+	flat := make([]Value, len(out.data)*len(keys))
 	for i := range out.data {
-		items[i] = keyed{vals: out.data[i], env: out.envs[i]}
-		items[i].keys = make([]Value, len(sel.OrderBy))
-		for j, ob := range sel.OrderBy {
-			v, err := ec.evalOrderTerm(ob.Expr, out, i)
-			if err != nil {
-				return err
+		for j := range keys {
+			k := &keys[j]
+			var v Value
+			switch {
+			case k.err != nil:
+				return nil, k.err
+			case k.out >= 0:
+				v = out.data[i][k.out]
+			case k.src >= 0 && out.src != nil:
+				v = out.src[i][k.src]
+			case k.src >= 0:
+				v = out.envs[i].sc.row[k.src]
+			default:
+				if out.envs == nil {
+					return nil, fmt.Errorf("sqlengine: ORDER BY expression %s must name an output column here", k.expr.SQL())
+				}
+				var err error
+				if v, err = out.envs[i].eval(k.expr); err != nil {
+					return nil, err
+				}
 			}
-			items[i].keys[j] = v
+			flat[i*len(keys)+j] = v
 		}
 	}
-	sort.SliceStable(items, func(a, b int) bool {
-		for j, ob := range sel.OrderBy {
-			c := Compare(items[a].keys[j], items[b].keys[j])
-			if c == 0 {
-				continue
-			}
-			if ob.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for i := range items {
-		out.data[i] = items[i].vals
-		out.envs[i] = items[i].env
-	}
-	return nil
+	return flat, nil
 }
 
-func (ec *execCtx) evalOrderTerm(e Expr, out *selOutput, rowIdx int) (Value, error) {
-	// Ordinal: ORDER BY 2
-	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
-		idx := int(lit.Val.I) - 1
-		if idx < 0 || idx >= len(out.columns) {
-			return Value{}, fmt.Errorf("sqlengine: ORDER BY ordinal %d out of range", lit.Val.I)
+// orderCmp compares two output rows by their flat sort keys, breaking ties
+// by output position: a total order, so any sort under it is stable.
+func orderCmp(keys []orderKey, flat []Value) func(a, b int32) int {
+	m := len(keys)
+	return func(a, b int32) int {
+		ka, kb := flat[int(a)*m:int(a)*m+m], flat[int(b)*m:int(b)*m+m]
+		for j := range keys {
+			if c := Compare(ka[j], kb[j]); c != 0 {
+				if keys[j].desc {
+					return -c
+				}
+				return c
+			}
 		}
-		return out.data[rowIdx][idx], nil
+		return cmp.Compare(a, b)
 	}
-	// Output column name or alias.
-	if cr, ok := e.(*ColumnRef); ok && cr.Table == "" {
-		for i, c := range out.columns {
-			if strings.EqualFold(c, cr.Name) {
-				return out.data[rowIdx][i], nil
+}
+
+// topK returns the positions of the first k of n rows under the total order
+// compare, in that order. When k < n a bounded max-heap holds the best k
+// seen so far, so most rows cost one comparison against its root;
+// otherwise the whole permutation is sorted.
+func topK(n, k int, compare func(a, b int32) int) []int32 {
+	h := make([]int32, min(k, n))
+	for i := range h {
+		h[i] = int32(i)
+	}
+	if k < n && k > 0 {
+		// h[0] is the worst row kept: sift a replaced root down below
+		// every child that orders after it.
+		siftDown := func(p int) {
+			for c := 2*p + 1; c < k; p, c = c, 2*c+1 {
+				if c+1 < k && compare(h[c+1], h[c]) > 0 {
+					c++
+				}
+				if compare(h[p], h[c]) >= 0 {
+					return
+				}
+				h[p], h[c] = h[c], h[p]
+			}
+		}
+		for p := k/2 - 1; p >= 0; p-- {
+			siftDown(p)
+		}
+		for i := int32(k); int(i) < n; i++ {
+			if compare(i, h[0]) < 0 {
+				h[0] = i
+				siftDown(0)
 			}
 		}
 	}
-	env := out.envs[rowIdx]
-	if env == nil {
-		return Value{}, fmt.Errorf("sqlengine: ORDER BY expression %s must name an output column here", e.SQL())
-	}
-	return env.eval(e)
+	slices.SortFunc(h, compare)
+	return h
 }
 
+// dedupeOutput drops output rows equal to an earlier one, keeping each
+// survivor's environment or source row alongside it.
 func dedupeOutput(out *selOutput) {
 	seen := make(map[string]bool, len(out.data))
-	var data [][]Value
+	var data, src [][]Value
 	var envs []*evalEnv
 	var buf []byte
 	for i, r := range out.data {
@@ -557,13 +666,19 @@ func dedupeOutput(out *selOutput) {
 			buf = append(buf, '\x00')
 		}
 		k := string(buf)
-		if !seen[k] {
-			seen[k] = true
-			data = append(data, r)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		data = append(data, r)
+		if out.envs != nil {
 			envs = append(envs, out.envs[i])
 		}
+		if out.src != nil {
+			src = append(src, out.src[i])
+		}
 	}
-	out.data, out.envs = data, envs
+	out.data, out.envs, out.src = data, envs, src
 }
 
 // projectionNames computes output column names for the select list.
@@ -827,12 +942,11 @@ func (ec *execCtx) projectGroupsParallel(sel *SelectStmt, src *rowSet, groups []
 
 // planFastProjection decides whether the select list can run as a pure
 // index gather — every item a star or a uniquely resolving column
-// reference — and whether every ORDER BY term is static (ordinal or
-// output-column name), since gathered rows carry no evaluation
-// environment for ORDER BY expressions to use. Any resolution failure
+// reference. The caller has already checked that no ORDER BY term needs a
+// row environment, since gathered rows carry none. Any resolution failure
 // falls back to the interpreted path so the naive error surfaces
 // verbatim.
-func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []string) ([]int, bool) {
+func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet) ([]int, bool) {
 	if !ec.vec {
 		return nil, false
 	}
@@ -867,33 +981,11 @@ func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []st
 			ixs = append(ixs, idx)
 		}
 	}
-	for _, ob := range sel.OrderBy {
-		if lit, ok := ob.Expr.(*Literal); ok && lit.Val.Kind == KindInt {
-			if idx := int(lit.Val.I) - 1; idx >= 0 && idx < len(columns) {
-				continue
-			}
-			return nil, false
-		}
-		if cr, ok := ob.Expr.(*ColumnRef); ok && cr.Table == "" {
-			found := false
-			for _, c := range columns {
-				if strings.EqualFold(c, cr.Name) {
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-		}
-		return nil, false
-	}
 	return ixs, true
 }
 
 // projectIndexed gathers the projected columns per row, morsel-parallel,
-// with nil environments (planFastProjection guaranteed nothing will need
-// them).
+// with no environments (nothing downstream needs them).
 func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, out *selOutput) {
 	nm := morselCount(len(rows))
 	outs := make([][][]Value, nm)
@@ -911,9 +1003,7 @@ func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, out *selOutput) {
 		outs[m] = part
 	})
 	for _, part := range outs {
-		for _, vals := range part {
-			out.add(vals, nil)
-		}
+		out.data = append(out.data, part...)
 	}
 }
 
